@@ -14,14 +14,13 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
+	"crdbserverless/internal/codec"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/kvpb"
 	"crdbserverless/internal/kvserver"
@@ -171,13 +170,12 @@ func (r *Registry) load(ctx context.Context) error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		for _, kv := range rows {
-			var ten Tenant
-			if err := gob.NewDecoder(bytes.NewReader(kv.Value)).Decode(&ten); err != nil {
+			t, err := decodeTenant(kv.Value)
+			if err != nil {
 				return err
 			}
-			t := ten
-			r.mu.byID[t.ID] = &t
-			r.mu.byName[t.Name] = &t
+			r.mu.byID[t.ID] = t
+			r.mu.byName[t.Name] = t
 			if t.ID >= r.mu.nextID {
 				r.mu.nextID = t.ID + 1
 			}
@@ -240,13 +238,44 @@ func (r *Registry) CreateTenant(ctx context.Context, name string, opts TenantOpt
 }
 
 func (r *Registry) persist(ctx context.Context, t *Tenant) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(t); err != nil {
-		return err
-	}
+	rec := encodeTenant(t)
 	return r.sysTxn.RunTxn(ctx, func(ctx context.Context, tx *txn.Txn) error {
-		return tx.Put(ctx, tenantRecordKey(t.Name), buf.Bytes())
+		return tx.Put(ctx, tenantRecordKey(t.Name), rec)
 	})
+}
+
+// encodeTenant serializes a tenant record for the system tenant's table.
+func encodeTenant(t *Tenant) []byte {
+	b := codec.AppendVersion(nil)
+	b = codec.AppendUvarint(b, uint64(t.ID))
+	b = codec.AppendString(b, t.Name)
+	b = codec.AppendVarint(b, int64(t.State))
+	b = codec.AppendUvarint(b, uint64(len(t.Regions)))
+	for _, reg := range t.Regions {
+		b = codec.AppendString(b, string(reg))
+	}
+	b = codec.AppendString(b, t.Password)
+	b = codec.AppendFloat64(b, t.QuotaVCPUs)
+	return codec.AppendBool(b, t.RegionAware)
+}
+
+// decodeTenant parses a record written by encodeTenant.
+func decodeTenant(b []byte) (*Tenant, error) {
+	r := codec.NewReader(b)
+	t := &Tenant{ID: keys.TenantID(r.Uvarint()), Name: r.String(), State: State(r.Int())}
+	if n := r.Count(1); n > 0 {
+		t.Regions = make([]region.Region, n)
+		for i := range t.Regions {
+			t.Regions[i] = region.Region(r.String())
+		}
+	}
+	t.Password = r.String()
+	t.QuotaVCPUs = r.Float64()
+	t.RegionAware = r.Bool()
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("core: decoding tenant record: %w", err)
+	}
+	return t, nil
 }
 
 // GetByName returns a tenant record.

@@ -59,7 +59,7 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		base := heapInUse()
+		base := liveHeapBytes()
 		for i := 0; i < n; i++ {
 			t, err := tb.reg.CreateTenant(ctx, fmt.Sprintf("susp-%d", i), core.TenantOptions{})
 			if err != nil {
@@ -71,7 +71,7 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 				return nil, nil, err
 			}
 		}
-		after := heapInUse()
+		after := liveHeapBytes()
 		res.Suspended = append(res.Suspended, Fig7Point{
 			Tenants:        n,
 			BytesPerTenant: int64(after-base) / int64(n),
@@ -97,7 +97,7 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 			tb.close()
 			return nil, nil, err
 		}
-		base := heapInUse()
+		base := liveHeapBytes()
 		var kvBusyBase time.Duration
 		for _, kn := range tb.cluster.Nodes() {
 			kvBusyBase += kn.CPUBusy()
@@ -128,7 +128,7 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 		for _, kn := range tb.cluster.Nodes() {
 			kvBusy += kn.CPUBusy()
 		}
-		after := heapInUse()
+		after := liveHeapBytes()
 		res.Idle = append(res.Idle, Fig7Point{
 			Tenants:        n,
 			BytesPerTenant: int64(after-base) / int64(n),
@@ -156,11 +156,17 @@ func Fig7(opts Fig7Options) (*Fig7Result, *Table, error) {
 	return res, table, nil
 }
 
-func heapInUse() uint64 {
+// liveHeapBytes returns the bytes of live heap objects. It reads
+// HeapAlloc, not HeapInuse: HeapInuse counts whole 8 KiB spans, so a
+// fleet-sized delta of a few dozen pages is dominated by span rounding and
+// by whatever garbage shares those spans. The second GC drains sync.Pool
+// victim caches, which survive exactly one collection.
+func liveHeapBytes() uint64 {
+	runtime.GC()
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	return m.HeapInuse
+	return m.HeapAlloc
 }
 
 func fmtBytes(b int64) string {

@@ -1415,11 +1415,7 @@ func (c *Cluster) evaluateBatch(ctx context.Context, n *Node, rs *rangeState, ba
 	}
 
 	if len(cmd.Mutations) > 0 {
-		payload, err := encodeCommand(cmd)
-		if err != nil {
-			return nil, err
-		}
-		if err := rs.group.ProposeCtx(ctx, n.id, payload); err != nil {
+		if err := rs.group.ProposeCtx(ctx, n.id, encodeCommand(cmd)); err != nil {
 			return nil, err
 		}
 		rs.statsMu.Lock()

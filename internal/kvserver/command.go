@@ -1,10 +1,9 @@
 package kvserver
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"crdbserverless/internal/codec"
 	"crdbserverless/internal/hlc"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/lsm"
@@ -40,20 +39,59 @@ type command struct {
 	Mutations []mutation
 }
 
-func encodeCommand(c command) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, fmt.Errorf("kvserver: encoding command: %w", err)
+// mutationMinSize is the smallest encoded mutation: kind, key length, two
+// timestamp fields, txn ID, value length, commit flag, two timestamp fields.
+const mutationMinSize = 9
+
+func encodeCommand(c command) []byte {
+	size := 2
+	for i := range c.Mutations {
+		// 40 bytes covers a typical mutation's varints and flags.
+		size += len(c.Mutations[i].Key) + len(c.Mutations[i].Value) + 40
 	}
-	return buf.Bytes(), nil
+	b := codec.AppendVersion(make([]byte, 0, size))
+	b = codec.AppendUvarint(b, uint64(len(c.Mutations)))
+	for i := range c.Mutations {
+		m := &c.Mutations[i]
+		b = codec.AppendVarint(b, int64(m.Kind))
+		b = codec.AppendBytes(b, m.Key)
+		b = appendTimestamp(b, m.Ts)
+		b = codec.AppendUvarint(b, m.TxnID)
+		b = codec.AppendBytes(b, m.Value)
+		b = codec.AppendBool(b, m.Commit)
+		b = appendTimestamp(b, m.CommitTs)
+	}
+	return b
 }
 
 func decodeCommand(b []byte) (command, error) {
+	r := codec.NewReader(b)
 	var c command
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&c); err != nil {
+	if n := r.Count(mutationMinSize); n > 0 {
+		c.Mutations = make([]mutation, n)
+		for i := range c.Mutations {
+			m := &c.Mutations[i]
+			m.Kind = mutationKind(r.Int())
+			m.Key = r.Bytes()
+			m.Ts = readTimestamp(&r)
+			m.TxnID = r.Uvarint()
+			m.Value = r.Bytes()
+			m.Commit = r.Bool()
+			m.CommitTs = readTimestamp(&r)
+		}
+	}
+	if err := r.Finish(); err != nil {
 		return command{}, fmt.Errorf("kvserver: decoding command: %w", err)
 	}
 	return c, nil
+}
+
+func appendTimestamp(b []byte, ts hlc.Timestamp) []byte {
+	return codec.AppendVarint(codec.AppendVarint(b, ts.WallTime), int64(ts.Logical))
+}
+
+func readTimestamp(r *codec.Reader) hlc.Timestamp {
+	return hlc.Timestamp{WallTime: r.Varint(), Logical: r.Int32()}
 }
 
 // applyMutations applies a decoded command to an engine. It is the state

@@ -1,10 +1,9 @@
 package kvserver
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"crdbserverless/internal/codec"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/lsm"
 	"crdbserverless/internal/mvcc"
@@ -59,11 +58,38 @@ func (sm engineSM) Snapshot() ([]byte, error) {
 			Value: append([]byte(nil), it.Value()...),
 		})
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pairs); err != nil {
-		return nil, fmt.Errorf("kvserver: encoding snapshot: %w", err)
+	return encodeSnapshot(pairs), nil
+}
+
+// encodeSnapshot writes a count-prefixed list of key/value pairs.
+func encodeSnapshot(pairs []enginePair) []byte {
+	size := 2
+	for _, p := range pairs {
+		size += len(p.Key) + len(p.Value) + 8
 	}
-	return buf.Bytes(), nil
+	b := codec.AppendVersion(make([]byte, 0, size))
+	b = codec.AppendUvarint(b, uint64(len(pairs)))
+	for _, p := range pairs {
+		b = codec.AppendBytes(codec.AppendBytes(b, p.Key), p.Value)
+	}
+	return b
+}
+
+// decodeSnapshot parses a snapshot written by encodeSnapshot.
+func decodeSnapshot(data []byte) ([]enginePair, error) {
+	r := codec.NewReader(data)
+	var pairs []enginePair
+	// A pair is at least two bytes: the key and value lengths.
+	if n := r.Count(2); n > 0 {
+		pairs = make([]enginePair, n)
+		for i := range pairs {
+			pairs[i] = enginePair{Key: r.Bytes(), Value: r.Bytes()}
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("kvserver: decoding snapshot: %w", err)
+	}
+	return pairs, nil
 }
 
 // ApplySnapshot implements raftlite.SnapshotStateMachine: it replaces the
@@ -72,9 +98,9 @@ func (sm engineSM) Snapshot() ([]byte, error) {
 // record — so a crash mid-snapshot leaves either the old replica state or
 // the complete new one, never a blend.
 func (sm engineSM) ApplySnapshot(index uint64, data []byte) error {
-	var pairs []enginePair
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&pairs); err != nil {
-		return fmt.Errorf("kvserver: decoding snapshot: %w", err)
+	pairs, err := decodeSnapshot(data)
+	if err != nil {
+		return err
 	}
 	desc := sm.rs.descAtomic.Load()
 	lo, hi := mvcc.EngineSpan(desc.Span)

@@ -45,6 +45,8 @@
 //     replay.
 //   - metricnames: metric registration uses literal `subsystem.name` names
 //     and never registers the same name twice.
+//   - nogob: no non-test import of encoding/gob; every durable and network
+//     value is encoded through internal/codec, the one binary codec.
 //   - spanfinish: every trace span started in a function (StartSpan,
 //     StartRoot, StartRemote, StartChild) is finished there or escapes to a
 //     new owner; a leaked span never reaches the trace recorder.
@@ -76,7 +78,7 @@ import (
 // Checks is the set of known check names, in reporting order.
 var Checks = []string{
 	"directtime", "faulterr", "globalrand", "lockorder", "lockscope",
-	"locksafety", "maporder", "metricnames", "spanfinish",
+	"locksafety", "maporder", "metricnames", "nogob", "spanfinish",
 }
 
 // typedChecks are the checks that need the type-checked loader and the
@@ -276,6 +278,9 @@ func (t *Tree) Check(opts Options) ([]Diagnostic, error) {
 		}
 		if enabled["metricnames"] {
 			diags = append(diags, checkMetricNames(f, reg)...)
+		}
+		if enabled["nogob"] {
+			diags = append(diags, checkNoGob(f)...)
 		}
 		if enabled["spanfinish"] {
 			diags = append(diags, checkSpanFinish(f)...)

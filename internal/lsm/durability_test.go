@@ -356,6 +356,49 @@ func TestManifestVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesVersion1Store: a store written before the codec change
+// (WAL segments and manifest at format version 1) holds gob-encoded values
+// this build cannot read. Open must refuse it up front with
+// ErrVersionMismatch, not come up and fail at the first row decode.
+func TestOpenRefusesVersion1Store(t *testing.T) {
+	for _, stamp := range []string{"wal", "manifest", "both"} {
+		t.Run(stamp, func(t *testing.T) {
+			dir := NewDir()
+			e := New(durableOpts(dir))
+			for i := 0; i < 400; i++ {
+				e.Set([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))
+			}
+			e.Flush()
+			e.Set([]byte("unflushed"), []byte("v"))
+			e.Close()
+			if stamp != "manifest" {
+				segs := walSegments(dir)
+				if len(segs) == 0 {
+					t.Fatal("no WAL segment holds the unflushed write")
+				}
+				for _, seg := range segs {
+					data, _ := dir.ReadFile(walSegmentName(seg))
+					binary.BigEndian.PutUint32(data[4:8], 1)
+					dir.WriteFileSync(walSegmentName(seg), data)
+				}
+			}
+			if stamp != "wal" {
+				data, ok := dir.ReadFile(manifestName)
+				if !ok {
+					t.Fatal("no manifest after flush")
+				}
+				binary.BigEndian.PutUint32(data[4:8], 1)
+				body := data[:len(data)-manifestChecksumLen]
+				binary.BigEndian.PutUint32(data[len(data)-manifestChecksumLen:], crc32.Checksum(body, crc32cTable))
+				dir.WriteFileSync(manifestName, data)
+			}
+			if _, err := Open(durableOpts(dir)); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("Open of a version-1 %s = %v, want ErrVersionMismatch", stamp, err)
+			}
+		})
+	}
+}
+
 // TestManifestChecksumCorruption: a bit-flipped manifest is ErrCorruption.
 func TestManifestChecksumCorruption(t *testing.T) {
 	dir := NewDir()

@@ -36,10 +36,12 @@ var ErrCorruption = errors.New("lsm: corruption detected")
 var ErrVersionMismatch = errors.New("lsm: on-disk format version mismatch")
 
 const (
-	manifestName        = "MANIFEST"
-	manifestTmpName     = "MANIFEST.tmp"
-	manifestMagic       = uint32('M')<<24 | uint32('A')<<16 | uint32('N')<<8 | uint32('I')
-	manifestVersion     = 1
+	manifestName    = "MANIFEST"
+	manifestTmpName = "MANIFEST.tmp"
+	manifestMagic   = uint32('M')<<24 | uint32('A')<<16 | uint32('N')<<8 | uint32('I')
+	// manifestVersion 2: same bump as walFormatVersion — the sstables it
+	// lists hold internal/codec values, not gob.
+	manifestVersion     = 2
 	manifestHeaderLen   = 8 // magic + version
 	manifestChecksumLen = 4
 )

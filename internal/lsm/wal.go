@@ -34,7 +34,11 @@ const (
 	walRecordHeaderLen  = 8
 	walSegmentHeaderLen = 8
 	walMagic            = uint32('W')<<24 | uint32('A')<<16 | uint32('L')<<8 | uint32('S')
-	walFormatVersion    = 1
+	// walFormatVersion 2: the values stored above the engine (SQL row
+	// values, table descriptors, tenant records) moved from gob to the
+	// internal/codec layout, so a version-1 log is refused at Open rather
+	// than failing at the first row decode.
+	walFormatVersion = 2
 )
 
 var crc32cTable = crc32.MakeTable(crc32.Castagnoli)

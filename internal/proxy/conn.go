@@ -178,17 +178,17 @@ func (pc *proxiedConn) exchange(fr frame) error {
 			if err != nil {
 				return err
 			}
-			return writeRaw(pc.client, typ, payload)
+			return wire.WriteFrame(pc.client, typ, payload)
 		}
 	}
-	if err := writeRaw(backend, fr.typ, fr.payload); err != nil {
+	if err := wire.WriteFrame(backend, fr.typ, fr.payload); err != nil {
 		return err
 	}
 	typ, payload, err := wire.ReadMessage(backend)
 	if err != nil {
 		return err
 	}
-	return writeRaw(pc.client, typ, payload)
+	return wire.WriteFrame(pc.client, typ, payload)
 }
 
 // killBackendAndReconnect severs the current backend connection (modeling a
@@ -315,13 +315,4 @@ func (pc *proxiedConn) runMigration(sp *trace.Span, old net.Conn, oldAddr, toAdd
 	pc.proxy.mu.Unlock()
 	pc.proxy.noteMigration()
 	return nil
-}
-
-func writeRaw(conn net.Conn, typ byte, payload []byte) error {
-	hdr := []byte{typ, byte(len(payload) >> 24), byte(len(payload) >> 16), byte(len(payload) >> 8), byte(len(payload))}
-	if _, err := conn.Write(hdr); err != nil {
-		return err
-	}
-	_, err := conn.Write(payload)
-	return err
 }

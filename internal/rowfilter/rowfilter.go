@@ -16,8 +16,9 @@ package rowfilter
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"crdbserverless/internal/codec"
 )
 
 // Kind is the type of a filter constant.
@@ -192,19 +193,40 @@ func compare(a, b Value) (int, bool) {
 }
 
 // Encode serializes the filter for transport in a KV request.
-func (f *Filter) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("rowfilter: encode: %w", err)
+func (f *Filter) Encode() []byte {
+	b := codec.AppendVersion(nil)
+	b = codec.AppendUvarint(b, uint64(len(f.Conds)))
+	for _, c := range f.Conds {
+		b = codec.AppendVarint(b, int64(c.Col))
+		b = append(b, byte(c.Op), byte(c.Value.Kind))
+		b = codec.AppendBool(b, c.Value.Null)
+		b = codec.AppendVarint(b, c.Value.I)
+		b = codec.AppendFloat64(b, c.Value.F)
+		b = codec.AppendString(b, c.Value.S)
+		b = codec.AppendBool(b, c.Value.B)
 	}
-	return buf.Bytes(), nil
+	return b
 }
+
+// condMinSize is the smallest encoded Cond: column, op, kind, null, int,
+// 8 float bytes, string length, bool.
+const condMinSize = 15
 
 // Decode parses a transported filter.
 func Decode(b []byte) (*Filter, error) {
-	var f Filter
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
+	r := codec.NewReader(b)
+	f := &Filter{}
+	if n := r.Count(condMinSize); n > 0 {
+		f.Conds = make([]Cond, n)
+		for i := range f.Conds {
+			c := &f.Conds[i]
+			c.Col = r.Int()
+			c.Op = Op(r.Byte())
+			c.Value = Value{Kind: Kind(r.Byte()), Null: r.Bool(), I: r.Varint(), F: r.Float64(), S: r.String(), B: r.Bool()}
+		}
+	}
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("rowfilter: decode: %w", err)
 	}
-	return &f, nil
+	return f, nil
 }

@@ -105,11 +105,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Col: 2, Op: OpLe, Value: vf(3.14)},
 		{Col: 0, Op: OpEq, Value: vs("hello")},
 	}}
-	enc, err := in.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Decode(enc)
+	out, err := Decode(in.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -472,12 +472,7 @@ func (n *SQLNode) serveSession(conn net.Conn, st *connState) {
 			if serr != nil {
 				resp.Err = serr.Error()
 			} else {
-				data, eerr := ser.Encode()
-				if eerr != nil {
-					resp.Err = eerr.Error()
-				} else {
-					resp.Data = data
-				}
+				resp.Data = ser.Encode()
 			}
 			if err := wire.WriteMessage(conn, wire.MsgSerialized, resp); err != nil {
 				return

@@ -1,13 +1,12 @@
 package sql
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
 
+	"crdbserverless/internal/codec"
 	"crdbserverless/internal/keys"
 	"crdbserverless/internal/region"
 	"crdbserverless/internal/txn"
@@ -66,20 +65,49 @@ func (d *TableDescriptor) IsPrimaryKeyColumn(i int) bool {
 	return false
 }
 
-func encodeDescriptor(d *TableDescriptor) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		return nil, fmt.Errorf("sql: encoding descriptor %s: %w", d.Name, err)
+func encodeDescriptor(d *TableDescriptor) []byte {
+	b := codec.AppendVersion(nil)
+	b = codec.AppendUvarint(b, uint64(d.ID))
+	b = codec.AppendString(b, d.Name)
+	b = codec.AppendUvarint(b, uint64(len(d.Columns)))
+	for _, c := range d.Columns {
+		b = codec.AppendVarint(codec.AppendString(b, c.Name), int64(c.Type))
 	}
-	return buf.Bytes(), nil
+	b = codec.AppendInts(b, d.PrimaryKey)
+	b = codec.AppendUvarint(b, uint64(len(d.Indexes)))
+	for _, idx := range d.Indexes {
+		b = codec.AppendUvarint(b, uint64(idx.ID))
+		b = codec.AppendString(b, idx.Name)
+		b = codec.AppendInts(b, idx.Columns)
+	}
+	b = codec.AppendVarint(b, int64(d.Locality))
+	return codec.AppendString(b, string(d.HomeRegion))
 }
 
 func decodeDescriptor(b []byte) (*TableDescriptor, error) {
-	var d TableDescriptor
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&d); err != nil {
+	r := codec.NewReader(b)
+	d := &TableDescriptor{ID: keys.TableID(r.Uint32()), Name: r.String()}
+	// A column is at least two bytes: name length and type.
+	if n := r.Count(2); n > 0 {
+		d.Columns = make([]ColumnDef, n)
+		for i := range d.Columns {
+			d.Columns[i] = ColumnDef{Name: r.String(), Type: ColumnType(r.Int())}
+		}
+	}
+	d.PrimaryKey = r.Ints()
+	// An index is at least three bytes: ID, name length, column count.
+	if n := r.Count(3); n > 0 {
+		d.Indexes = make([]IndexDescriptor, n)
+		for i := range d.Indexes {
+			d.Indexes[i] = IndexDescriptor{ID: keys.IndexID(r.Uint32()), Name: r.String(), Columns: r.Ints()}
+		}
+	}
+	d.Locality = region.Locality(r.Int())
+	d.HomeRegion = region.Region(r.String())
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("sql: decoding descriptor: %w", err)
 	}
-	return &d, nil
+	return d, nil
 }
 
 // descriptorKey returns the system.descriptor row key for a table name.
@@ -170,11 +198,7 @@ func (c *Catalog) allocateTableID(ctx context.Context, t *txn.Txn) (keys.TableID
 }
 
 func (c *Catalog) writeDescriptor(ctx context.Context, t *txn.Txn, desc *TableDescriptor) error {
-	raw, err := encodeDescriptor(desc)
-	if err != nil {
-		return err
-	}
-	return t.Put(ctx, descriptorKey(c.tenant, desc.Name), raw)
+	return t.Put(ctx, descriptorKey(c.tenant, desc.Name), encodeDescriptor(desc))
 }
 
 // CreateIndex adds a secondary index descriptor. Backfilling existing rows

@@ -9,7 +9,8 @@ import (
 )
 
 // Datum is one SQL value. The concrete representation (rather than
-// interface{}) keeps gob encoding simple and comparisons allocation-free.
+// interface{}) keeps comparisons allocation-free and the codec layout
+// (AppendDatums) a flag byte plus the non-zero fields.
 type Datum struct {
 	Null bool
 	Kind ColumnType

@@ -467,11 +467,7 @@ func (e *Executor) writeRow(ctx context.Context, t *txn.Txn, desc *TableDescript
 			return fmt.Errorf("sql: duplicate primary key in %s", desc.Name)
 		}
 	}
-	val, err := encodeRowValue(row)
-	if err != nil {
-		return err
-	}
-	if err := t.Put(ctx, pk, val); err != nil {
+	if err := t.Put(ctx, pk, encodeRowValue(row)); err != nil {
 		return err
 	}
 	for i := range desc.Indexes {
@@ -568,11 +564,7 @@ func (e *Executor) update(ctx context.Context, t *txn.Txn, s *Update, args []Dat
 					}
 				}
 			}
-			val, err := encodeRowValue(newRow)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.Put(ctx, r.pk, val); err != nil {
+			if err := t.Put(ctx, r.pk, encodeRowValue(newRow)); err != nil {
 				return nil, err
 			}
 		}

@@ -101,11 +101,7 @@ func compilePushdownFilter(desc *TableDescriptor, where Expr, args []Datum) []by
 	if f.Empty() {
 		return nil
 	}
-	enc, err := f.Encode()
-	if err != nil {
-		return nil // fail open: the SQL-side filter still applies
-	}
-	return enc
+	return f.Encode()
 }
 
 func compileCond(desc *TableDescriptor, colSide, valSide Expr, op rowfilter.Op, args []Datum) (rowfilter.Cond, bool) {

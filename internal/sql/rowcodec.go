@@ -1,18 +1,21 @@
 package sql
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"math"
 
+	"crdbserverless/internal/codec"
 	"crdbserverless/internal/keys"
 )
 
 // Row layout in the KV keyspace (§3.1: "SQL schema metadata and individual
 // table accesses are translated by the SQL layer into basic KV operations"):
 //
-//	primary:   /Tenant/<t>/Table/<id>/Index/1/<pk datums>      -> gob(all datums)
+//	primary:   /Tenant/<t>/Table/<id>/Index/1/<pk datums>      -> row value
 //	secondary: /Tenant/<t>/Table/<id>/Index/<n>/<idx datums><pk datums> -> empty
+//
+// A row value is the codec version byte followed by AppendDatums of every
+// column, in column order.
 
 // primaryKey builds a row's primary index key.
 func primaryKey(tenant keys.TenantID, desc *TableDescriptor, row []Datum) (keys.Key, error) {
@@ -45,21 +48,114 @@ func tableSpan(tenant keys.TenantID, desc *TableDescriptor) keys.Span {
 }
 
 // encodeRowValue serializes the full datum row as the primary index value.
-func encodeRowValue(row []Datum) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(row); err != nil {
-		return nil, fmt.Errorf("sql: encoding row: %w", err)
-	}
-	return buf.Bytes(), nil
+func encodeRowValue(row []Datum) []byte {
+	return AppendDatums(codec.AppendVersion(make([]byte, 0, 1+8*len(row))), row)
 }
 
 // decodeRowValue deserializes a primary index value.
 func decodeRowValue(b []byte) ([]Datum, error) {
-	var row []Datum
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&row); err != nil {
+	r := codec.NewReader(b)
+	row := ReadDatums(&r)
+	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("sql: decoding row: %w", err)
 	}
 	return row, nil
+}
+
+// A datum encodes as one flag byte naming its non-zero fields, followed by
+// those fields in declaration order. Zero fields cost nothing, and every
+// Datum value round-trips exactly.
+const (
+	datumNull = 1 << iota
+	datumKind
+	datumI
+	datumF
+	datumS
+	datumB
+	datumAllFlags = 1<<iota - 1
+)
+
+// AppendDatums appends a count-prefixed datum list in the codec layout (no
+// version byte: the enclosing value carries it).
+func AppendDatums(b []byte, ds []Datum) []byte {
+	b = codec.AppendUvarint(b, uint64(len(ds)))
+	for i := range ds {
+		d := &ds[i]
+		var flags byte
+		if d.Null {
+			flags |= datumNull
+		}
+		if d.Kind != 0 {
+			flags |= datumKind
+		}
+		if d.I != 0 {
+			flags |= datumI
+		}
+		if math.Float64bits(d.F) != 0 {
+			flags |= datumF
+		}
+		if d.S != "" {
+			flags |= datumS
+		}
+		if d.B {
+			flags |= datumB
+		}
+		b = append(b, flags)
+		if flags&datumKind != 0 {
+			b = codec.AppendVarint(b, int64(d.Kind))
+		}
+		if flags&datumI != 0 {
+			b = codec.AppendVarint(b, d.I)
+		}
+		if flags&datumF != 0 {
+			b = codec.AppendFloat64(b, d.F)
+		}
+		if flags&datumS != 0 {
+			b = codec.AppendString(b, d.S)
+		}
+	}
+	return b
+}
+
+// ReadDatums reads a list written by AppendDatums; an empty list reads as
+// nil. A field flagged present must be non-zero, so the encoding is
+// canonical.
+func ReadDatums(r *codec.Reader) []Datum {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	ds := make([]Datum, n)
+	for i := range ds {
+		d := &ds[i]
+		flags := r.Byte()
+		if flags&^datumAllFlags != 0 {
+			r.Failf("datum flags %#x", flags)
+			return nil
+		}
+		d.Null = flags&datumNull != 0
+		d.B = flags&datumB != 0
+		if flags&datumKind != 0 {
+			d.Kind = ColumnType(r.Int())
+		}
+		if flags&datumI != 0 {
+			d.I = r.Varint()
+		}
+		if flags&datumF != 0 {
+			d.F = r.Float64()
+		}
+		if flags&datumS != 0 {
+			d.S = r.String()
+		}
+		if flags&datumKind != 0 && d.Kind == 0 || flags&datumI != 0 && d.I == 0 ||
+			flags&datumF != 0 && math.Float64bits(d.F) == 0 || flags&datumS != 0 && d.S == "" {
+			r.Failf("datum field flagged present but zero")
+		}
+		if r.Err() != nil {
+			return nil
+		}
+	}
+	return ds
 }
 
 // indexKey builds a secondary index entry key for a row.

@@ -1,16 +1,15 @@
 package sql
 
 import (
-	"bytes"
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
 
+	"crdbserverless/internal/codec"
 	"crdbserverless/internal/txn"
 )
 
@@ -217,22 +216,29 @@ func RestoreSession(exec *Executor, ser *SerializedSession, secret []byte) (*Ses
 	return s, nil
 }
 
-// Encode serializes the snapshot for transport through the proxy.
-func (ss *SerializedSession) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ss); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// Encode serializes the snapshot for transport through the proxy. Maps
+// are written in sorted key order, so equal sessions encode identically.
+func (ss *SerializedSession) Encode() []byte {
+	b := codec.AppendVersion(nil)
+	b = codec.AppendString(b, ss.User)
+	b = codec.AppendStringMap(b, ss.Settings)
+	b = codec.AppendStringMap(b, ss.Prepared)
+	return codec.AppendString(b, ss.RevivalToken)
 }
 
 // DecodeSerializedSession parses a transported session snapshot.
 func DecodeSerializedSession(b []byte) (*SerializedSession, error) {
-	var ss SerializedSession
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&ss); err != nil {
-		return nil, err
+	r := codec.NewReader(b)
+	ss := &SerializedSession{
+		User:         r.String(),
+		Settings:     r.StringMap(),
+		Prepared:     r.StringMap(),
+		RevivalToken: r.String(),
 	}
-	return &ss, nil
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("sql: decoding session: %w", err)
+	}
+	return ss, nil
 }
 
 // MakeRevivalToken derives the internal authentication credential embedded

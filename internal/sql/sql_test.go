@@ -384,11 +384,7 @@ func TestSessionSerializeRestore(t *testing.T) {
 		t.Fatal("no revival token")
 	}
 	// Round trip through the wire encoding the proxy uses.
-	raw, err := ser.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeSerializedSession(raw)
+	decoded, err := DecodeSerializedSession(ser.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,9 @@ type Recorder struct {
 
 	rootsRecorded *metric.Counter
 	slowRetained  *metric.Counter
+	// childrenDropped counts spans not linked into their parent because
+	// it already held maxChildren.
+	childrenDropped *metric.Counter
 
 	mu struct {
 		sync.Mutex
@@ -49,9 +52,10 @@ func newRecorder(opts Options) *Recorder {
 		opts.SlowSize = defaultSlowSize
 	}
 	r := &Recorder{
-		slowThreshold: opts.SlowThreshold,
-		rootsRecorded: &metric.Counter{},
-		slowRetained:  &metric.Counter{},
+		slowThreshold:   opts.SlowThreshold,
+		rootsRecorded:   &metric.Counter{},
+		slowRetained:    &metric.Counter{},
+		childrenDropped: &metric.Counter{},
 	}
 	r.mu.ring = make([]*Span, opts.RingSize)
 	r.mu.slowCap = opts.SlowSize
@@ -62,6 +66,15 @@ func newRecorder(opts Options) *Recorder {
 // SlowThreshold returns the root duration at or above which traces are
 // force-retained.
 func (r *Recorder) SlowThreshold() time.Duration { return r.slowThreshold }
+
+// ChildrenDropped returns how many spans were left out of their parent's
+// tree because it already held maxChildren children.
+func (r *Recorder) ChildrenDropped() int64 {
+	if r == nil {
+		return 0
+	}
+	return r.childrenDropped.Value()
+}
 
 // spanFinished feeds every finished span into the per-op histograms and
 // files finished roots into the ring (and the slow list when over
@@ -166,6 +179,8 @@ func (r *Recorder) WriteTracez(w io.Writer) error {
 		s := r.OpSummary(op)
 		fmt.Fprintf(&b, "%-28s %8d %10v %10v %10v %10v\n", op, s.Count, s.P50, s.P95, s.P99, s.Max)
 	}
+
+	fmt.Fprintf(&b, "\nchild spans dropped past the per-span cap of %d: %d\n", maxChildren, r.ChildrenDropped())
 
 	slow := r.SlowRoots()
 	fmt.Fprintf(&b, "\nretained slow traces (threshold %v): %d\n", r.slowThreshold, len(slow))

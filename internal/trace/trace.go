@@ -37,7 +37,7 @@ type Options struct {
 	Seed int64
 	// Metrics, when non-nil, receives the tracer's own counters
 	// (trace.spans_started, trace.spans_finished, trace.roots_recorded,
-	// trace.slow_retained).
+	// trace.slow_retained, trace.children_dropped).
 	Metrics *metric.Registry
 	// SlowThreshold is the root-span duration at or above which a
 	// finished trace is force-retained by the recorder regardless of
@@ -125,6 +125,7 @@ func New(opts Options) *Tracer {
 		opts.Metrics.MustRegister("trace.spans_finished", t.spansFinished)
 		opts.Metrics.MustRegister("trace.roots_recorded", t.recorder.rootsRecorded)
 		opts.Metrics.MustRegister("trace.slow_retained", t.recorder.slowRetained)
+		opts.Metrics.MustRegister("trace.children_dropped", t.recorder.childrenDropped)
 	}
 	return t
 }
@@ -428,10 +429,23 @@ func (s *Span) StartForkedChild(op string) *Span {
 	return s.tracer.newSpan(op, s.traceID, s.spanID, s, src.fork())
 }
 
+// maxChildren bounds the children a span retains. A long-lived root — a
+// proxy connection adds one exchange subtree per statement — would
+// otherwise hold every statement's trace until it closes. A child past the
+// cap is still timed and feeds the per-operation histograms, but it is not
+// linked into the tree; the recorder counts it in trace.children_dropped.
+const maxChildren = 64
+
 func (s *Span) addChild(c *Span) {
 	s.mu.Lock()
-	s.mu.children = append(s.mu.children, c)
+	keep := len(s.mu.children) < maxChildren
+	if keep {
+		s.mu.children = append(s.mu.children, c)
+	}
 	s.mu.Unlock()
+	if !keep {
+		s.tracer.recorder.childrenDropped.Inc(1)
+	}
 }
 
 // Finish ends the span. Finishing a root span hands the whole trace to

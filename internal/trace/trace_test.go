@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -309,5 +310,38 @@ func TestForkedChildNilSafety(t *testing.T) {
 	var s *Span
 	if got := s.StartForkedChild("x"); got != nil {
 		t.Fatalf("nil span forked child = %v", got)
+	}
+}
+
+// TestChildRetentionBounded: a long-lived root keeps at most maxChildren
+// children; the rest are still timed but counted as dropped, and the count
+// shows on /debug/tracez.
+func TestChildRetentionBounded(t *testing.T) {
+	reg := metric.NewRegistry()
+	tr := New(Options{Clock: timeutil.NewManualClock(time.Unix(0, 0)), Seed: 1, Metrics: reg})
+	root := tr.StartRoot("proxy.conn")
+	const n = 10000
+	for i := 0; i < n; i++ {
+		root.StartChild("proxy.exchange").Finish()
+	}
+	root.Finish()
+	if got := len(root.Children()); got != maxChildren {
+		t.Fatalf("root retained %d children, want %d", got, maxChildren)
+	}
+	if got := tr.Recorder().ChildrenDropped(); got != n-maxChildren {
+		t.Fatalf("dropped %d children, want %d", got, n-maxChildren)
+	}
+	if c, ok := reg.Get("trace.children_dropped").(*metric.Counter); !ok || c.Value() != n-maxChildren {
+		t.Fatal("trace.children_dropped not registered/counted")
+	}
+	if got := tr.Recorder().OpSummary("proxy.exchange").Count; got != n {
+		t.Fatalf("exchange histogram counted %d spans, want all %d", got, n)
+	}
+	var b strings.Builder
+	if err := tr.Recorder().WriteTracez(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("per-span cap of %d: %d", maxChildren, n-maxChildren); !strings.Contains(b.String(), want) {
+		t.Fatalf("tracez missing %q:\n%s", want, b.String())
 	}
 }

@@ -5,16 +5,17 @@
 // before any query flows, and dedicated control messages support the session
 // serialization handshake used by connection migration (§4.2.4).
 //
-// Framing: 1 type byte, 4-byte big-endian payload length, gob payload.
+// Framing: 1 type byte, 4-byte big-endian payload length, then the payload:
+// the message's fields in the internal/codec layout, led by its version byte.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
 
+	"crdbserverless/internal/codec"
 	"crdbserverless/internal/sql"
 )
 
@@ -91,29 +92,115 @@ type Restore struct {
 // Terminate closes the connection.
 type Terminate struct{}
 
-// WriteMessage frames and writes one message.
-func WriteMessage(w io.Writer, typ byte, payload interface{}) error {
-	var body frameBuffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
-		return fmt.Errorf("wire: encoding %c: %w", typ, err)
+// Message is the body of one wire frame. Every message type in this package
+// implements it; each encodes its own fields in declaration order.
+type Message interface {
+	appendTo(b []byte) []byte
+	readFrom(r *codec.Reader)
+}
+
+func (m *Startup) appendTo(b []byte) []byte { return codec.AppendStringMap(b, m.Params) }
+func (m *Startup) readFrom(r *codec.Reader) { m.Params = r.StringMap() }
+
+func (m *Auth) appendTo(b []byte) []byte {
+	return codec.AppendString(codec.AppendBool(b, m.OK), m.Msg)
+}
+
+func (m *Auth) readFrom(r *codec.Reader) {
+	m.OK = r.Bool()
+	m.Msg = r.String()
+}
+
+func (m *Query) appendTo(b []byte) []byte {
+	b = codec.AppendString(b, m.SQL)
+	b = sql.AppendDatums(b, m.Args)
+	b = codec.AppendUvarint(b, m.TraceID)
+	return codec.AppendUvarint(b, m.SpanID)
+}
+
+func (m *Query) readFrom(r *codec.Reader) {
+	m.SQL = r.String()
+	m.Args = sql.ReadDatums(r)
+	m.TraceID = r.Uvarint()
+	m.SpanID = r.Uvarint()
+}
+
+func (m *Result) appendTo(b []byte) []byte {
+	b = codec.AppendStrings(b, m.Columns)
+	b = codec.AppendUvarint(b, uint64(len(m.Rows)))
+	for _, row := range m.Rows {
+		b = sql.AppendDatums(b, row)
 	}
-	if len(body.b) > maxFrame {
-		return fmt.Errorf("wire: frame too large (%d bytes)", len(body.b))
+	b = codec.AppendVarint(b, int64(m.RowsAffected))
+	return codec.AppendString(b, m.Err)
+}
+
+func (m *Result) readFrom(r *codec.Reader) {
+	m.Columns = r.Strings()
+	m.Rows = nil
+	if n := r.Count(1); n > 0 {
+		m.Rows = make([][]sql.Datum, n)
+		for i := range m.Rows {
+			m.Rows[i] = sql.ReadDatums(r)
+		}
 	}
-	hdr := make([]byte, 5)
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body.b)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
+	m.RowsAffected = r.Int()
+	m.Err = r.String()
+}
+
+func (m *Serialize) appendTo(b []byte) []byte { return b }
+func (m *Serialize) readFrom(*codec.Reader)   {}
+
+func (m *Serialized) appendTo(b []byte) []byte {
+	return codec.AppendString(codec.AppendBytes(b, m.Data), m.Err)
+}
+
+func (m *Serialized) readFrom(r *codec.Reader) {
+	m.Data = r.Bytes()
+	m.Err = r.String()
+}
+
+func (m *Restore) appendTo(b []byte) []byte { return codec.AppendBytes(b, m.Data) }
+func (m *Restore) readFrom(r *codec.Reader) { m.Data = r.Bytes() }
+
+func (m *Terminate) appendTo(b []byte) []byte { return b }
+func (m *Terminate) readFrom(*codec.Reader)   {}
+
+// frameHeaderLen is the type byte plus the 4-byte payload length.
+const frameHeaderLen = 5
+
+// WriteMessage frames and writes one message: header and payload are built
+// in one buffer and issued as a single Write.
+func WriteMessage(w io.Writer, typ byte, m Message) error {
+	b := make([]byte, frameHeaderLen, 256)
+	b = m.appendTo(codec.AppendVersion(b))
+	return writeFrame(w, typ, b)
+}
+
+// WriteFrame writes an already-encoded payload (one read by ReadMessage) as
+// one frame, in a single Write.
+func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+	b := make([]byte, frameHeaderLen, frameHeaderLen+len(payload))
+	return writeFrame(w, typ, append(b, payload...))
+}
+
+// writeFrame fills in the header of a frame buffer whose payload follows
+// frameHeaderLen reserved bytes, and writes it.
+func writeFrame(w io.Writer, typ byte, b []byte) error {
+	n := len(b) - frameHeaderLen
+	if n > maxFrame {
+		return fmt.Errorf("wire: frame too large (%d bytes)", n)
 	}
-	_, err := w.Write(body.b)
+	b[0] = typ
+	binary.BigEndian.PutUint32(b[1:frameHeaderLen], uint32(n))
+	_, err := w.Write(b)
 	return err
 }
 
 // ReadMessage reads one frame, returning its type and raw payload.
 func ReadMessage(r io.Reader) (byte, []byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [frameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
@@ -127,30 +214,15 @@ func ReadMessage(r io.Reader) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// Decode unmarshals a payload into out.
-func Decode(payload []byte, out interface{}) error {
-	return gob.NewDecoder(&sliceReader{b: payload}).Decode(out)
-}
-
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type sliceReader struct {
-	b []byte
-	i int
-}
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if s.i >= len(s.b) {
-		return 0, io.EOF
+// Decode parses a payload into m, which must be the message type the
+// frame's type byte names.
+func Decode(payload []byte, m Message) error {
+	r := codec.NewReader(payload)
+	m.readFrom(&r)
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("wire: decoding %T: %w", m, err)
 	}
-	n := copy(p, s.b[s.i:])
-	s.i += n
-	return n, nil
+	return nil
 }
 
 // Client is a SQL client connection.
